@@ -10,7 +10,7 @@ quantitative form of the paper's "preventive action" argument.
 import pytest
 
 from benchmarks.conftest import report
-from repro.evaluation.costmodel import CheckpointPolicy, evaluate_policy
+from repro.actions.costmodel import CheckpointPolicy, evaluate_policy
 from repro.evaluation.matching import match_warnings
 from repro.meta.stacked import MetaLearner
 from repro.predictors.statistical import StatisticalPredictor

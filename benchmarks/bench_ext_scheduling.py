@@ -10,7 +10,7 @@ restart-from-scratch losses into restart-from-checkpoint losses.
 import pytest
 
 from benchmarks.conftest import report
-from repro.evaluation.scheduling import simulate_rescue
+from repro.actions.rescue import simulate_rescue
 from repro.meta.stacked import MetaLearner
 from repro.predictors.statistical import StatisticalPredictor
 from repro.util.timeutil import HOUR, MINUTE

@@ -3,9 +3,10 @@
 Two measurements, both with a built-in correctness gate (the fast path must
 be *bit-identical* to the reference before its speed means anything):
 
-- **Batched columnar feed** (``OnlineDetector.feed_store``) versus the
-  per-event ``feed`` loop over the same fitted meta-learner — same warning
-  list required, events/sec and per-chunk feed-latency percentiles reported.
+- **Batched columnar feed** (``OnlineDetector.feed_batch``) versus the
+  frozen per-event ``feed`` oracle (``tests/per_event_oracle.py``) over the
+  same fitted meta-learner — same warning list required, events/sec and
+  per-chunk feed-latency percentiles reported.
 - **Heap-based warning resolution** (``WarningResolver``) versus the seed's
   deque implementation (rebuilt per event; inlined below as the reference)
   on a synthetic stream holding a ~10k pending-warning backlog — identical
@@ -26,10 +27,12 @@ from typing import Optional
 
 from benchmarks.conftest import report
 from repro.core.pipeline import ThreePhasePredictor
+from repro.mining.rules import rule_item_ids
 from repro.obs import get_registry, summarize_histogram
-from repro.online import OnlineDetector, OnlineSession, WarningResolver
+from repro.online import OnlineDetector, WarningResolver
 from repro.predictors.base import FailureWarning
 from repro.serve import DetectorPool
+from tests.per_event_oracle import PerEventDetector, PerEventSession
 
 #: Synthetic resolution stream: one warning per event, ~10k-event horizons
 #: (so the pending backlog plateaus near 10k), a failure every ~200 events.
@@ -158,7 +161,8 @@ def test_resolution_heap_vs_deque_backlog():
 
 
 def test_batched_feed_vs_per_event(anl_bench_events):
-    """feed_store vs per-event feed: identical warnings, events/sec, p50/p99."""
+    """feed_batch vs the per-event oracle: identical warnings, events/sec,
+    p50/p99."""
     events = anl_bench_events
     split = int(len(events) * 0.6)
     import numpy as np
@@ -167,7 +171,7 @@ def test_batched_feed_vs_per_event(anl_bench_events):
     test = events.select(np.arange(split, len(events)))
     meta = ThreePhasePredictor().fit(train).meta
 
-    per_event = OnlineDetector(meta)
+    per_event = PerEventDetector(meta)
     t0 = perf_counter()
     reference = []
     for ev in test:
@@ -179,7 +183,9 @@ def test_batched_feed_vs_per_event(anl_bench_events):
     chunk = 256
     t0 = perf_counter()
     warnings = []
-    label_ids = batched.label_ids_for(test)
+    label_ids = rule_item_ids(
+        test, meta.rulebased.ruleset, meta.statistical.classifier
+    )
     fatal = test.fatal_mask()
     for lo in range(0, len(test), chunk):
         hi = min(lo + chunk, len(test))
@@ -214,7 +220,7 @@ def test_pool_replay_throughput(anl_bench_events):
     test = events.select(np.arange(split, len(events)))
     meta = ThreePhasePredictor().fit(train).meta
 
-    session = OnlineSession(meta)
+    session = PerEventSession(meta)
     t0 = perf_counter()
     for ev in test:
         session.process(ev)

@@ -16,6 +16,10 @@ highest-confidence rule observed (Step 6).
 it maintains the set of items present in the sliding observation window and
 reports rules the moment their body becomes fully observed — O(rules
 containing the arriving item) per event, not O(all rules).
+
+Rule items are label ids of the *training* store.  :func:`rule_item_ids` is
+the one place any other store's rows are mapped into that item space (by
+label name), so every predictor matches rules against the same items.
 """
 
 from __future__ import annotations
@@ -25,10 +29,14 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from repro.mining.apriori import apriori
 from repro.mining.fptree import fpgrowth
 from repro.mining.transactions import EventSetDB
 from repro.obs import get_registry
+from repro.ras.store import UNCLASSIFIED, EventStore
+from repro.taxonomy.classifier import TaxonomyClassifier
 from repro.util.validation import check_fraction
 
 #: Miner registry: both produce identical itemset->count tables.
@@ -248,6 +256,10 @@ class RuleSet:
     ) -> None:
         self.rules: list[Rule] = list(rules)
         self.item_names: list[str] = list(item_names)
+        #: Item name -> item id (the inverse of ``item_names``).
+        self.item_index: dict[str, int] = {
+            name: i for i, name in enumerate(self.item_names)
+        }
         self.fatal_items = fatal_items
         self._by_item: dict[int, list[int]] = defaultdict(list)
         for idx, rule in enumerate(self.rules):
@@ -284,6 +296,43 @@ class RuleSet:
         """Figure-3 style listing of the top rules."""
         rules = self.rules if limit is None else self.rules[:limit]
         return "\n".join(r.format(self.item_names) for r in rules)
+
+
+def rule_item_ids(
+    store: EventStore, ruleset: RuleSet, classifier: TaxonomyClassifier
+) -> np.ndarray:
+    """Map a classified store's rows into ``ruleset``'s item space, by name.
+
+    Another store interns the same labels in its own order (arrival order
+    for stores built from events), so its label ids are matched to
+    ``ruleset.item_names`` by name, never by number.  Any other label that
+    the classifier does not know becomes the classifier's catch-all label
+    (its last).  A label the rule set never saw maps past every rule item,
+    to ``len(item_names)`` plus its classifier label id: it can never
+    complete a rule body, yet stays distinct, so its main category is still
+    known.  The mapping is the identity when the store's label table equals
+    ``item_names``.  Rows still ``UNCLASSIFIED`` raise ``ValueError``.
+    """
+    ids = store.subcat_ids
+    if len(store) == 0:
+        return np.empty(0, dtype=np.int64)
+    if bool(np.any(ids == UNCLASSIFIED)):
+        raise ValueError(
+            "store has unclassified rows; run the Phase-1 pipeline first"
+        )
+    items = ruleset.item_index
+    labels = classifier.label_index
+    catch_all = classifier.label_names[-1]
+    n_items = len(ruleset.item_names)
+    remap = []
+    for name in store.subcat_table:
+        item = items.get(name)
+        if item is None:
+            if name not in labels:
+                name = catch_all
+            item = items.get(name, n_items + labels[name])
+        remap.append(item)
+    return np.array(remap, dtype=np.int64)[ids]
 
 
 class RuleMatcher:

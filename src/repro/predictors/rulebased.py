@@ -18,11 +18,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet, generate_rules
+from repro.mining.rules import (
+    Rule,
+    RuleMatcher,
+    RuleSet,
+    generate_rules,
+    rule_item_ids,
+)
 from repro.mining.transactions import build_event_sets
 from repro.obs import get_registry
 from repro.predictors.base import FailureWarning, Predictor
 from repro.ras.store import EventStore
+from repro.taxonomy.classifier import TaxonomyClassifier
 from repro.util.timeutil import MINUTE
 from repro.util.validation import check_fraction, check_positive
 
@@ -147,7 +154,7 @@ def _match_stream(
     window: float,
     source: str,
 ) -> list[FailureWarning]:
-    """Shared streaming matcher (also used by the meta-learner).
+    """Streaming matcher of the rule-based method.
 
     Maintains the non-fatal items inside the trailing ``window`` seconds; on
     each arrival that completes at least one rule, emits a warning for the
@@ -162,7 +169,7 @@ def _match_stream(
     # Hoisted bindings: one Python-level loop per event is the serving hot
     # path, so bulk-convert the columns once and bind methods to locals.
     times = events.times.tolist()
-    subcats = events.subcat_ids.tolist()
+    subcats = rule_item_ids(events, ruleset, TaxonomyClassifier()).tolist()
     fatal_list = events.fatal_mask().tolist()
     matcher_add = matcher.add
     matcher_remove = matcher.remove

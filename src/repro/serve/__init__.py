@@ -2,12 +2,14 @@
 
 The paper positions the meta-learner as cheap enough to run online; this
 package is the deployment-shaped surface for doing that at installation
-scale.  It layers four mechanisms, each individually tested for
-equivalence with the reference event-at-a-time path:
+scale.  It layers four mechanisms on one dispatch route — classified stores
+fed through the columnar batch path — each tested for equivalence with the
+frozen per-event oracle in ``tests/per_event_oracle.py``:
 
-- **Batched columnar feed** — :meth:`repro.online.detector.OnlineDetector.feed_batch`
-  / ``feed_store`` push whole column batches through the dispatch state
-  machine with hoisted lookups and no per-event object construction.
+- **Batched columnar feed** — :meth:`repro.online.detector.OnlineDetector.feed_store`
+  maps a chunk's labels into the rule item space and pushes its columns
+  through the dispatch state machine with hoisted lookups and no per-event
+  object construction.
 - **Heap-based warning resolution** — :class:`repro.online.resolution.WarningResolver`
   resolves warnings against failures in O(log P) amortized per event.
 - **Sharded detector pool** — :class:`repro.serve.pool.DetectorPool` runs one

@@ -2,16 +2,18 @@
 
 :class:`DetectorPool` runs one :class:`~repro.online.detector.OnlineSession`
 per shard of the incoming stream (see :mod:`repro.serve.sharding` for the
-partition keys).  Two entry points:
+partition keys).  Both entry points partition a classified store and feed
+each shard's part through the columnar path
+(:meth:`~repro.online.detector.OnlineSession.process_store`):
 
-- :meth:`DetectorPool.process` — daemon mode: route one event to its shard's
-  persistent session and return the warnings it raised.
-- :meth:`DetectorPool.replay` — throughput mode: partition a whole classified
-  store, replay every shard through the batched columnar path
-  (:meth:`~repro.online.detector.OnlineSession.process_store`), and return a
+- :meth:`DetectorPool.process_store` — daemon mode: feed one chunk of a
+  stream to the *persistent* shard sessions and return the warnings it
+  raised.
+- :meth:`DetectorPool.replay` — throughput mode: replay a whole store (in
+  one chunk, or in ``chunk_events`` slices) on fresh sessions and return a
   :class:`PoolReport` with per-shard and combined statistics.
 
-Replay optionally fans shards out across processes
+Whole-store replay optionally fans shards out across processes
 (``jobs > 1`` or ``REPRO_JOBS``), reusing the evaluation engine's
 worker-shipping pattern: the fitted meta-learner travels once per worker via
 the pool initializer, shard sub-stores travel once per task, and results come
@@ -28,7 +30,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -38,9 +40,8 @@ from repro.obs import get_registry
 from repro.online.detector import OnlineSession
 from repro.online.resolution import SessionStats
 from repro.predictors.base import FailureWarning
-from repro.ras.events import RasEvent
 from repro.ras.store import EventStore
-from repro.serve.sharding import SHARD_KEYS, midplane_of, shard_ids, shard_of_key
+from repro.serve.sharding import SHARD_KEYS, shard_ids
 from repro.util.validation import check_positive
 
 
@@ -85,21 +86,40 @@ class PoolReport:
         return self.events / self.seconds
 
 
-def _replay_shard(
-    meta: MetaLearner, shard: int, store: EventStore, finalize: bool
-) -> ShardReport:
-    """Replay one shard's sub-store on a fresh session (both backends)."""
-    t0 = perf_counter()
-    session = OnlineSession(meta)
-    warnings = session.process_store(store)
-    stats = session.finish() if finalize else session.stats
-    return ShardReport(
-        shard=shard,
-        events=len(store),
-        seconds=perf_counter() - t0,
-        stats=stats,
-        warnings=warnings,
-    )
+def _replay_parts(
+    meta: MetaLearner, parts: Iterable[tuple[int, EventStore]], finalize: bool
+) -> list[ShardReport]:
+    """Feed ``(shard, part)`` pairs to fresh per-shard sessions, in order.
+
+    A shard's session persists across its parts, so the parts of one shard
+    may be consecutive chunks of its stream; reports come back ascending by
+    shard.
+    """
+    sessions: dict[int, OnlineSession] = {}
+    warnings: dict[int, list[FailureWarning]] = {}
+    events: dict[int, int] = {}
+    seconds: dict[int, float] = {}
+    for shard, part in parts:
+        t0 = perf_counter()
+        session = sessions.get(shard)
+        if session is None:
+            session = sessions[shard] = OnlineSession(meta)
+            warnings[shard] = []
+            events[shard] = 0
+            seconds[shard] = 0.0
+        warnings[shard].extend(session.process_store(part))
+        events[shard] += len(part)
+        seconds[shard] += perf_counter() - t0
+    return [
+        ShardReport(
+            shard=shard,
+            events=events[shard],
+            seconds=seconds[shard],
+            stats=sessions[shard].finish() if finalize else sessions[shard].stats,
+            warnings=warnings[shard],
+        )
+        for shard in sorted(sessions)
+    ]
 
 
 # Per-worker global, installed once by the pool initializer so the fitted
@@ -115,7 +135,7 @@ def _init_worker(meta: MetaLearner) -> None:
 def _replay_in_worker(task: tuple[int, EventStore, bool]) -> ShardReport:
     assert _WORKER_META is not None, "worker initializer did not run"
     shard, store, finalize = task
-    return _replay_shard(_WORKER_META, shard, store, finalize)
+    return _replay_parts(_WORKER_META, [(shard, store)], finalize)[0]
 
 
 class DetectorPool:
@@ -142,14 +162,8 @@ class DetectorPool:
         self._sessions: dict[int, OnlineSession] = {}
 
     # ---------------------------------------------------------------- #
-    # Daemon mode (event-at-a-time)
+    # Daemon mode (persistent sessions, chunk at a time)
     # ---------------------------------------------------------------- #
-
-    def shard_of(self, event: RasEvent) -> int:
-        """The shard this event routes to (consistent with :func:`shard_ids`)."""
-        if self.key == "job":
-            return int(event.job_id % self.shards)
-        return shard_of_key(midplane_of(event.location), self.shards)
 
     def session(self, shard: int) -> OnlineSession:
         """The shard's persistent session (created lazily)."""
@@ -159,10 +173,6 @@ class DetectorPool:
         if existing is None:
             existing = self._sessions[shard] = OnlineSession(self.meta)
         return existing
-
-    def process(self, event: RasEvent) -> list[FailureWarning]:
-        """Route one event to its shard and process it there."""
-        return self.session(self.shard_of(event)).process(event)
 
     def process_store(self, store: EventStore) -> list[FailureWarning]:
         """Feed a classified chunk through the *persistent* shard sessions.
@@ -266,33 +276,38 @@ class DetectorPool:
         accounting); ``jobs`` follows the evaluation engine's convention
         (``None`` -> ``REPRO_JOBS`` -> serial).
 
-        ``chunk_events`` switches to the streaming path: the store is read
-        in contiguous slices of at most that many rows and each slice is
-        partitioned and fed to per-shard sessions that persist across
-        chunks.  On a columnar store this keeps only one chunk's shard
-        materializations in RAM at a time; the report (per-shard warnings
-        and stats) is identical to the whole-store replay.  Streaming
-        replay is serial — ``jobs`` is ignored.
+        ``chunk_events`` reads the store in contiguous slices of at most
+        that many rows; each slice is partitioned and fed to the shard
+        sessions, which persist across slices.  On a columnar store this
+        keeps only one slice's shard materializations in RAM at a time.
+        Per-shard event sequences equal :meth:`partition` of the whole store
+        (partitioning preserves order, chunking only inserts boundaries), so
+        the report is identical to a whole-store replay.  Chunked replay is
+        serial — ``jobs`` is ignored.
         """
-        if chunk_events is not None:
-            return self._replay_streaming(
-                store, chunk_events=chunk_events, finalize=finalize
-            )
-        jobs = resolve_jobs(jobs)
-        parts = self.partition(store)
         obs = get_registry()
-        backend = "process" if (jobs > 1 and len(parts) > 1) else "serial"
         t0 = perf_counter()
+        parts: Iterable[tuple[int, EventStore]]
+        if chunk_events is None:
+            whole = self.partition(store)
+            parts = whole
+            workers = min(resolve_jobs(jobs), len(whole))
+        else:
+            check_positive(chunk_events, "chunk_events")
+            # Lazy: only one chunk's shard parts are materialized at a time.
+            parts = (
+                part
+                for chunk in store.iter_chunks(chunk_events)
+                for part in self.partition(chunk)
+            )
+            workers = 1
+        backend = "process" if workers > 1 else "serial"
         with obs.span(
             "serve.replay", backend=backend, key=self.key, shards=str(self.shards)
         ):
             if backend == "serial":
-                reports = [
-                    _replay_shard(self.meta, shard, part, finalize)
-                    for shard, part in parts
-                ]
+                reports = _replay_parts(self.meta, parts, finalize)
             else:
-                workers = min(jobs, len(parts))
                 with ProcessPoolExecutor(
                     max_workers=workers,
                     initializer=_init_worker,
@@ -304,60 +319,6 @@ class DetectorPool:
                             [(shard, part, finalize) for shard, part in parts],
                         )
                     )
-        report = PoolReport(key=self.key, shards=reports, seconds=perf_counter() - t0)
-        self._emit_replay_metrics(report)
-        return report
-
-    def _replay_streaming(
-        self, store: EventStore, *, chunk_events: int, finalize: bool
-    ) -> PoolReport:
-        """Chunk-at-a-time replay with per-shard sessions carried across chunks.
-
-        Chunks are zero-copy slices; only one chunk's shard partitions are
-        materialized at any moment, so peak RSS is bounded by the chunk
-        size, not the log size.  Per-shard event sequences are identical to
-        :meth:`partition` of the whole store (partitioning preserves order
-        and chunking only inserts boundaries), so warnings and stats match
-        the batch replay bit for bit.
-        """
-        check_positive(chunk_events, "chunk_events")
-        obs = get_registry()
-        t0 = perf_counter()
-        sessions: dict[int, OnlineSession] = {}
-        warnings: dict[int, list[FailureWarning]] = {}
-        events: dict[int, int] = {}
-        seconds: dict[int, float] = {}
-        with obs.span(
-            "serve.replay",
-            backend="streaming",
-            key=self.key,
-            shards=str(self.shards),
-        ):
-            for chunk in store.iter_chunks(chunk_events):
-                for shard, part in self.partition(chunk):
-                    s0 = perf_counter()
-                    session = sessions.get(shard)
-                    if session is None:
-                        session = sessions[shard] = OnlineSession(self.meta)
-                        warnings[shard] = []
-                        events[shard] = 0
-                        seconds[shard] = 0.0
-                    warnings[shard].extend(session.process_store(part))
-                    events[shard] += len(part)
-                    seconds[shard] += perf_counter() - s0
-            reports = []
-            for shard in sorted(sessions):
-                session = sessions[shard]
-                stats = session.finish() if finalize else session.stats
-                reports.append(
-                    ShardReport(
-                        shard=shard,
-                        events=events[shard],
-                        seconds=seconds[shard],
-                        stats=stats,
-                        warnings=warnings[shard],
-                    )
-                )
         report = PoolReport(key=self.key, shards=reports, seconds=perf_counter() - t0)
         self._emit_replay_metrics(report)
         return report

@@ -219,7 +219,7 @@ class StreamChannel:
     def _feed(self, events: list[RasEvent]) -> None:
         """Feed accepted events to the pool (plain) or manager (lifecycle)."""
         if self._manager_factory is None:
-            self._consume(events)
+            self._consume(events, self.pool.process_store)
             return
         # Lifecycle mode: fill the drift-reference window first, then feed
         # exact chunk_events-sized chunks so retrain barriers are placed
@@ -232,23 +232,26 @@ class StreamChannel:
                 return
             reference = EventStore.from_events_in_memory(self._classified(self._reference))
             self._manager = self._manager_factory(self.pool, reference)
-            self._consume_chunks([self._reference])
+            self._consume(self._reference, self._manager.feed)
             self._reference = []
         if events:
             self._chunk.extend(events)
-            full, rest = [], self._chunk
+            rest = self._chunk
             while len(rest) >= self.chunk_events:
-                full.append(rest[: self.chunk_events])
+                self._consume(rest[: self.chunk_events], self._manager.feed)
                 rest = rest[self.chunk_events:]
             self._chunk = rest
-            self._consume_chunks(full)
 
-    def _consume(self, events: list[RasEvent]) -> None:
-        """Feed one batch through the persistent pool sessions."""
+    def _consume(
+        self,
+        events: list[RasEvent],
+        feed: Callable[[EventStore], list[FailureWarning]],
+    ) -> None:
+        """Feed one batch to ``feed`` (pool or manager) and account for it."""
         if not events:
             return
         store = EventStore.from_events_in_memory(self._classified(events))
-        raised = self.pool.process_store(store)
+        raised = feed(store)
         if self.action_sink is not None:
             self.action_sink.observe_store(store, list(raised))
         self.recent_warnings.extend(raised)
@@ -261,27 +264,6 @@ class StreamChannel:
             obs.counter(
                 "serve.daemon.warnings", len(raised), stream=self.stream_id
             )
-
-    def _consume_chunks(self, chunks: list[list[RasEvent]]) -> None:
-        """Feed full chunks through the lifecycle manager's serving loop."""
-        assert self._manager is not None
-        obs = get_registry()
-        for chunk in chunks:
-            if not chunk:
-                continue
-            store = EventStore.from_events_in_memory(self._classified(chunk))
-            raised = self._manager.feed(store)
-            if self.action_sink is not None:
-                self.action_sink.observe_store(store, list(raised))
-            self.recent_warnings.extend(raised)
-            self.stats.processed += len(chunk)
-            self.stats.warnings += len(raised)
-            obs.counter("serve.daemon.events", len(chunk), stream=self.stream_id)
-            obs.observe("serve.daemon.batch_events", float(len(chunk)))
-            if raised:
-                obs.counter(
-                    "serve.daemon.warnings", len(raised), stream=self.stream_id
-                )
 
     # ---------------------------------------------------------------- #
     # Shutdown
@@ -307,13 +289,13 @@ class StreamChannel:
             # buffered events plainly — no manager, no retraining.
             buffered, self._reference = self._reference, []
             self._manager_factory = None
-            self._consume(buffered)
+            self._consume(buffered, self.pool.process_store)
         if self._chunk:
             tail, self._chunk = self._chunk, []
-            if self._manager is not None:
-                self._consume_chunks([tail])
-            else:
-                self._consume(tail)
+            manager = self._manager
+            self._consume(
+                tail, self.pool.process_store if manager is None else manager.feed
+            )
 
     def finish(self) -> SessionStats:
         """Finalize the pool's sessions (resolve pending warnings)."""

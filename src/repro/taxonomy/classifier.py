@@ -72,7 +72,8 @@ class TaxonomyClassifier:
         self.label_names: list[str] = [sc.name for sc in self.catalog] + [
             OTHER_FALLBACK
         ]
-        self._label_index = {n: i for i, n in enumerate(self.label_names)}
+        #: Label name -> label id (the inverse of ``label_names``).
+        self.label_index = {n: i for i, n in enumerate(self.label_names)}
         self._entry_cache: dict[str, int] = {}
 
     # -- single record ---------------------------------------------------- #
@@ -137,7 +138,7 @@ class TaxonomyClassifier:
         if cached is not None:
             return cached
         sc = self.classify_entry(entry)
-        idx = self._label_index[sc.name if sc is not None else OTHER_FALLBACK]
+        idx = self.label_index[sc.name if sc is not None else OTHER_FALLBACK]
         self._entry_cache[entry] = idx
         return idx
 

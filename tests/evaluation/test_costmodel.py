@@ -1,9 +1,9 @@
-"""Tests for repro.evaluation.costmodel."""
+"""Tests for repro.actions.costmodel."""
 
 import numpy as np
 import pytest
 
-from repro.evaluation.costmodel import (
+from repro.actions.costmodel import (
     CheckpointPolicy,
     breakeven_precision,
     evaluate_policy,

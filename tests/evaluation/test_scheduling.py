@@ -1,10 +1,10 @@
-"""Tests for repro.evaluation.scheduling (job rescue simulation)."""
+"""Tests for repro.actions.rescue (job rescue simulation)."""
 
 import pytest
 
 from repro.bgl.jobs import Job, JobTrace
 from repro.bgl.topology import ANL_SPEC, Machine
-from repro.evaluation.scheduling import (
+from repro.actions.rescue import (
     NODES_PER_MIDPLANE,
     simulate_rescue,
 )
@@ -140,7 +140,7 @@ def test_false_alarms_still_pay_their_checkpoints(machine):
 def test_dedupe_helper_keeps_earliest_per_fatal():
     import numpy as np
 
-    from repro.evaluation.scheduling import dedupe_by_matched_fatal
+    from repro.actions.rescue import dedupe_by_matched_fatal
 
     kept = dedupe_by_matched_fatal(
         [_warning(14_200), _warning(14_000)],

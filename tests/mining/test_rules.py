@@ -1,9 +1,19 @@
 """Tests for repro.mining.rules (generation, combination, matching)."""
 
+import numpy as np
 import pytest
 
-from repro.mining.rules import Rule, RuleMatcher, RuleSet, generate_rules
+from repro.mining.rules import (
+    Rule,
+    RuleMatcher,
+    RuleSet,
+    generate_rules,
+    rule_item_ids,
+)
 from repro.mining.transactions import EventSetDB
+from repro.ras.store import UNCLASSIFIED, EventStore
+from repro.taxonomy.classifier import TaxonomyClassifier
+from tests.conftest import make_event
 
 
 def fs(*items):
@@ -219,3 +229,58 @@ def test_matcher_observed_items(ruleset):
     m.add(A)
     m.add(Z)
     assert m.observed_items() == {A, Z}
+
+
+# ------------------------------------------------------ rule item space
+
+
+def _labelled(names, subcat_table):
+    """A store whose rows carry ``names`` over the given label table."""
+    index = {n: i for i, n in enumerate(subcat_table)}
+    base = EventStore.from_events_in_memory(
+        [make_event(time=1000 + i) for i in range(len(names))]
+    )
+    ids = np.array([index[n] for n in names], dtype=np.int32)
+    return base.with_subcat_ids(ids, subcat_table)
+
+
+def test_rule_item_ids_maps_by_name():
+    clf = TaxonomyClassifier()
+    a, b, c = clf.label_names[:3]
+    rules = RuleSet([], [b, a], frozenset())
+    store = _labelled([a, b, c, a], [c, a, b])
+    # Store ids are [1, 2, 0, 1]; rule items are b=0, a=1; c is no rule
+    # item, so it goes past them, to 2 + its classifier label id (2).
+    assert rule_item_ids(store, rules, clf).tolist() == [1, 0, 4, 1]
+
+
+def test_rule_item_ids_unknown_label_is_catch_all():
+    clf = TaxonomyClassifier()
+    catch_all = clf.label_names[-1]
+    a = clf.label_names[0]
+    store = _labelled(["no-such-label", a], ["no-such-label", a])
+    with_catch_all = RuleSet([], [a, catch_all], frozenset())
+    assert rule_item_ids(store, with_catch_all, clf).tolist() == [1, 0]
+    without = RuleSet([], [a], frozenset())
+    assert rule_item_ids(store, without, clf).tolist() == [
+        1 + len(clf.label_names) - 1,
+        0,
+    ]
+
+
+def test_rule_item_ids_is_identity_on_equal_tables():
+    clf = TaxonomyClassifier()
+    table = clf.label_names
+    store = _labelled([table[5], table[0], table[-1]], table)
+    rules = RuleSet([], table, frozenset())
+    assert rule_item_ids(store, rules, clf).tolist() == store.subcat_ids.tolist()
+
+
+def test_rule_item_ids_rejects_unclassified_rows():
+    clf = TaxonomyClassifier()
+    store = EventStore.from_events_in_memory([make_event(time=1000)])
+    assert store.subcat_ids.tolist() == [UNCLASSIFIED]
+    with pytest.raises(ValueError, match="unclassified"):
+        rule_item_ids(store, RuleSet([], clf.label_names, frozenset()), clf)
+    empty = store.select(np.array([], dtype=int))
+    assert rule_item_ids(empty, RuleSet([], [], frozenset()), clf).tolist() == []

@@ -7,8 +7,16 @@ import pytest
 from repro.meta.stacked import MetaLearner
 from repro.online.detector import OnlineDetector, OnlineSession
 from repro.ras.fields import Severity
+from repro.ras.store import EventStore
+from repro.taxonomy.classifier import TaxonomyClassifier
 from repro.util.timeutil import MINUTE
 from tests.conftest import make_event
+from tests.per_event_oracle import PerEventDetector
+
+
+def _classified(*events):
+    """A classified store of the given events (a one-event live chunk)."""
+    return TaxonomyClassifier().classify_store(EventStore.from_events(events))
 
 
 @pytest.fixture(scope="module")
@@ -22,11 +30,11 @@ def fitted_meta(anl_events):
 
 
 def test_online_equals_offline(fitted_meta):
-    """The streaming detector reproduces batch predict() exactly."""
+    """The per-event oracle reproduces batch predict() exactly."""
     meta, test = fitted_meta
     offline = meta.predict(test)
 
-    detector = OnlineDetector(meta)
+    detector = PerEventDetector(meta)
     online = []
     for ev in test:
         online.extend(detector.feed(ev))
@@ -48,17 +56,17 @@ def test_online_requires_fitted():
 def test_online_rejects_time_travel(fitted_meta):
     meta, test = fitted_meta
     detector = OnlineDetector(meta)
-    detector.feed(make_event(time=1_200_000_000))
+    detector.feed_store(_classified(make_event(time=1_200_000_000)))
     with pytest.raises(ValueError, match="time order"):
-        detector.feed(make_event(time=1_199_999_000))
+        detector.feed_store(_classified(make_event(time=1_199_999_000)))
 
 
 def test_online_handles_unseen_label(fitted_meta):
     """A message the training vocabulary never saw must not crash."""
     meta, _ = fitted_meta
     detector = OnlineDetector(meta)
-    warnings = detector.feed(
-        make_event(time=1_200_000_000, entry="never seen before text 42")
+    warnings = detector.feed_store(
+        _classified(make_event(time=1_200_000_000, entry="never seen before text 42"))
     )
     assert warnings == []
 
@@ -66,8 +74,7 @@ def test_online_handles_unseen_label(fitted_meta):
 def test_session_counts_consistent(fitted_meta):
     meta, test = fitted_meta
     session = OnlineSession(meta)
-    for ev in test:
-        session.process(ev)
+    session.process_store(test)
     stats = session.finish()
 
     assert stats.events == len(test)
@@ -86,8 +93,7 @@ def test_session_matches_batch_metrics(fitted_meta):
 
     meta, test = fitted_meta
     session = OnlineSession(meta)
-    for ev in test:
-        session.process(ev)
+    session.process_store(test)
     stats = session.finish()
 
     offline = match_warnings(meta.predict(test), test).metrics
@@ -104,15 +110,21 @@ def test_session_hit_and_false_alarm_lifecycle(fitted_meta):
 
     # Drive a storm: two network fatals -> statistical warning at the 2nd.
     net = "uncorrectable torus error: retransmission limit exceeded"
-    session.process(make_event(time=base, severity=Severity.FAILURE, entry=net))
-    raised = session.process(
-        make_event(time=base + 10 * MINUTE, severity=Severity.FAILURE, entry=net)
+    session.process_store(
+        _classified(make_event(time=base, severity=Severity.FAILURE, entry=net))
+    )
+    raised = session.process_store(
+        _classified(
+            make_event(time=base + 10 * MINUTE, severity=Severity.FAILURE, entry=net)
+        )
     )
     assert len(raised) == 1
 
     # A third failure inside the horizon: warning resolves as hit.
-    session.process(
-        make_event(time=base + 25 * MINUTE, severity=Severity.FAILURE, entry=net)
+    session.process_store(
+        _classified(
+            make_event(time=base + 25 * MINUTE, severity=Severity.FAILURE, entry=net)
+        )
     )
     stats = session.finish()
     assert stats.hits >= 1

@@ -1,8 +1,13 @@
-"""Property-based tests on the meta dispatch stream and warning semantics."""
+"""Property-based tests on the meta dispatch stream and warning semantics.
+
+The per-event properties run on the frozen oracle's ``step``
+(``tests/per_event_oracle.py``); the batch route is held to the oracle on
+random streams and random batch splits.
+"""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.meta.stacked import MetaStream
+from tests.per_event_oracle import PerEventDetector, PerEventStream
 from repro.mining.rules import Rule, RuleSet
 from repro.predictors.statistical import StatisticalPredictor
 from repro.ras.store import EventStore
@@ -53,7 +58,7 @@ def _category(item: int) -> MainCategory:
 @given(event_streams())
 @settings(max_examples=80, deadline=None)
 def test_stream_warnings_well_formed(stream):
-    ms = MetaStream(RULES, _stat(), prediction_window=30 * MINUTE)
+    ms = PerEventStream(RULES, _stat(), prediction_window=30 * MINUTE)
     prev_issue = None
     for t, item in stream:
         for w in ms.step(t, item, item in FATAL_ITEMS, _category(item)):
@@ -70,7 +75,7 @@ def test_stream_warnings_well_formed(stream):
 @settings(max_examples=80, deadline=None)
 def test_stream_dedup_invariant(stream):
     """No two warnings with the same detail overlap in issue-vs-horizon."""
-    ms = MetaStream(RULES, _stat(), prediction_window=30 * MINUTE)
+    ms = PerEventStream(RULES, _stat(), prediction_window=30 * MINUTE)
     active: dict[str, int] = {}
     for t, item in stream:
         for w in ms.step(t, item, item in FATAL_ITEMS, _category(item)):
@@ -84,7 +89,7 @@ def test_stream_dedup_invariant(stream):
 @given(event_streams())
 @settings(max_examples=60, deadline=None)
 def test_stream_counts_match_emissions(stream):
-    ms = MetaStream(RULES, _stat(), prediction_window=30 * MINUTE)
+    ms = PerEventStream(RULES, _stat(), prediction_window=30 * MINUTE)
     emitted = 0
     for t, item in stream:
         emitted += len(ms.step(t, item, item in FATAL_ITEMS, _category(item)))
@@ -97,7 +102,7 @@ def test_stream_prefix_consistency(stream, cut_div):
     """Feeding a prefix then the rest equals feeding everything (no hidden
     dependence on call boundaries)."""
     def run(chunks):
-        ms = MetaStream(RULES, _stat(), prediction_window=30 * MINUTE)
+        ms = PerEventStream(RULES, _stat(), prediction_window=30 * MINUTE)
         out = []
         for chunk in chunks:
             for t, item in chunk:
@@ -113,10 +118,9 @@ def test_stream_prefix_consistency(stream, cut_div):
 @given(event_streams())
 @settings(max_examples=40, deadline=None)
 def test_online_detector_matches_batch_on_random_streams(stream):
-    """OnlineDetector over RasEvents == MetaLearner.predict over the store,
-    for arbitrary event mixes (not just generated logs)."""
+    """The per-event oracle over RasEvents == MetaLearner.predict over the
+    store, for arbitrary event mixes (not just generated logs)."""
     from repro.meta.stacked import MetaLearner
-    from repro.online.detector import OnlineDetector
     from repro.predictors.rulebased import RuleBasedPredictor
     from repro.ras.events import RasEvent
     from repro.taxonomy.subcategories import CATALOG
@@ -151,10 +155,66 @@ def test_online_detector_matches_batch_on_random_streams(stream):
     meta._fitted = True
 
     batch = meta.predict(store)
-    det = OnlineDetector(meta)
+    det = PerEventDetector(meta)
     online = []
     for ev in store:
         online.extend(det.feed(ev))
     assert [(w.issued_at, w.detail) for w in batch] == [
         (w.issued_at, w.detail) for w in online
     ]
+
+
+@given(
+    event_streams(),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_route_matches_per_event_oracle(stream, cuts):
+    """``MetaStream.step_store`` over any batch split == the oracle's
+    per-event ``step``, with a real rule set and the store's own label ids
+    mapped into the rule item space by name."""
+    from repro.meta.stacked import MetaStream
+    from repro.ras.events import RasEvent
+    from repro.taxonomy.subcategories import CATALOG
+
+    nonfatal = [sc for sc in CATALOG if not sc.is_fatal][:5]
+    fatal = [
+        next(sc for sc in CATALOG
+             if sc.is_fatal and sc.category is MainCategory.NETWORK),
+        next(sc for sc in CATALOG
+             if sc.is_fatal and sc.category is not MainCategory.NETWORK),
+    ]
+    mapping = nonfatal + fatal
+    rules = RuleSet(RULES.rules, [sc.name for sc in mapping], FATAL_ITEMS)
+
+    oracle = PerEventStream(rules, _stat(), prediction_window=30 * MINUTE)
+    expected = []
+    events = []
+    for t, item in stream:
+        sc = mapping[item]
+        expected.extend(oracle.step(t, item, sc.is_fatal, sc.category))
+        events.append(
+            RasEvent(
+                time=t,
+                location="R00-M0-N00-C00",
+                facility=sc.facility,
+                severity=sc.severity,
+                entry_data=sc.templates[0],
+            )
+        )
+    store = TaxonomyClassifier().classify_store(EventStore.from_events(events))
+
+    batched = MetaStream(rules, _stat(), prediction_window=30 * MINUTE)
+    actual = []
+    bounds = sorted({0, len(store), *(c for c in cuts if c < len(store))})
+    for lo, hi in zip(bounds, bounds[1:]):
+        actual.extend(batched.step_store(store.select(slice(lo, hi))))
+
+    def key(ws):
+        return [
+            (w.issued_at, w.horizon_start, w.horizon_end, w.confidence, w.detail)
+            for w in ws
+        ]
+
+    assert key(actual) == key(expected)
+    assert batched.dispatch_counts == oracle.dispatch_counts

@@ -29,6 +29,7 @@ from repro.serve.daemon import (
 from repro.serve.protocol import decode_frame, encode_frame, event_to_dict
 from repro.serve.streams import StreamChannel
 from repro.util.timeutil import MINUTE
+from tests.per_event_oracle import PerEventPool
 
 CONFIG = DaemonConfig(port=0, queue_bound=512, shards=2, chunk_events=64)
 
@@ -43,11 +44,11 @@ def fitted(anl_events):
 
 
 def oracle_stats(meta, events, *, shards=CONFIG.shards, key=CONFIG.key):
-    """Reference accounting: per-event daemon-mode replay, finalized."""
-    pool = DetectorPool(meta, shards=shards, key=key)
+    """Reference accounting: the per-event oracle router, finalized."""
+    router = PerEventPool(meta, shards=shards, key=key)
     for ev in events:
-        pool.process(ev)
-    return pool.finish()
+        router.process(ev)
+    return router.finish()
 
 
 async def send_frames(port, frames):

@@ -1,9 +1,9 @@
-"""Equivalence suite: batch feed == per-event feed == offline predict.
+"""Equivalence suite: batch feed == per-event oracle == offline predict.
 
-The serving fast paths are only admissible because they are *bit-identical*
-to the reference paths; these tests enforce that element-for-element, on
-both synthetic-log profiles (ANL and SDSC event mixes stress different
-dispatch cases).
+The columnar serving path is only admissible because it is *bit-identical*
+to the frozen per-event reference (``tests/per_event_oracle.py``); these
+tests enforce that element-for-element, on both synthetic-log profiles (ANL
+and SDSC event mixes stress different dispatch cases).
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro.meta.stacked import MetaLearner
+from repro.mining.rules import rule_item_ids
 from repro.online import OnlineDetector, OnlineSession
 from repro.util.timeutil import MINUTE
+from tests.per_event_oracle import PerEventDetector, PerEventSession
 
 
 def _fit_split(events):
@@ -40,7 +42,7 @@ def _assert_same_warnings(actual, expected):
 
 def test_feed_store_equals_per_event_feed(fitted):
     meta, test = fitted
-    per_event = OnlineDetector(meta)
+    per_event = PerEventDetector(meta)
     reference = []
     for ev in test:
         reference.extend(per_event.feed(ev))
@@ -62,7 +64,9 @@ def test_feed_batch_chunking_is_invariant(fitted):
     whole = OnlineDetector(meta).feed_store(test)
 
     chunked = OnlineDetector(meta)
-    label_ids = chunked.label_ids_for(test)
+    label_ids = rule_item_ids(
+        test, meta.rulebased.ruleset, meta.statistical.classifier
+    )
     fatal = test.fatal_mask()
     out = []
     for lo in range(0, len(test), 17):
@@ -103,7 +107,7 @@ def test_feed_store_empty_store_is_noop(fitted):
 def test_session_process_store_equals_per_event_process(fitted):
     """SessionStats (every counter, including lead times) must match."""
     meta, test = fitted
-    per_event = OnlineSession(meta)
+    per_event = PerEventSession(meta)
     reference = []
     for ev in test:
         reference.extend(per_event.process(ev))

@@ -9,6 +9,7 @@ from repro.meta.stacked import MetaLearner
 from repro.online import OnlineSession
 from repro.serve import DetectorPool, midplane_of, shard_ids, shard_of_key
 from repro.util.timeutil import MINUTE
+from tests.per_event_oracle import PerEventPool
 
 
 @pytest.fixture(scope="module")
@@ -33,18 +34,18 @@ def test_midplane_of_extracts_prefix():
 
 def test_shard_ids_midplane_matches_per_event_routing(fitted):
     meta, test = fitted
-    pool = DetectorPool(meta, shards=4, key="midplane")
+    router = PerEventPool(meta, shards=4, key="midplane")
     assignment = shard_ids(test, "midplane", 4)
     for i, ev in enumerate(test):
-        assert pool.shard_of(ev) == assignment[i]
+        assert router.shard_of(ev) == assignment[i]
 
 
 def test_shard_ids_job_matches_per_event_routing(fitted):
     meta, test = fitted
-    pool = DetectorPool(meta, shards=3, key="job")
+    router = PerEventPool(meta, shards=3, key="job")
     assignment = shard_ids(test, "job", 3)
     for i, ev in enumerate(test):
-        assert pool.shard_of(ev) == assignment[i]
+        assert router.shard_of(ev) == assignment[i]
 
 
 def test_shard_ids_are_in_range_and_deterministic(fitted):
@@ -123,12 +124,12 @@ def test_replay_shard_stats_sum_to_combined(fitted):
 
 
 def test_daemon_mode_matches_replay(fitted):
-    """Event-at-a-time routing reaches the same per-shard streams."""
+    """Per-event oracle routing reaches the same per-shard streams."""
     meta, test = fitted
-    pool = DetectorPool(meta, shards=4, key="midplane")
+    router = PerEventPool(meta, shards=4, key="midplane")
     for ev in test:
-        pool.process(ev)
-    daemon_stats = pool.finish()
+        router.process(ev)
+    daemon_stats = router.finish()
     replay_stats = DetectorPool(meta, shards=4, key="midplane").replay(test).combined
     assert daemon_stats == replay_stats
 
