@@ -42,6 +42,9 @@ from repro.util.rng import as_generator
 #: mark a midplane "hot".  Risk topology, not a price, so not in CostModel.
 DEFAULT_HOT_WINDOW_SECONDS = 21_600.0
 
+#: "Nothing buffered" for the earliest-due / earliest-expiry watermarks.
+_NEVER = float("inf")
+
 
 class _OpenAction:
     __slots__ = ("action", "seq")
@@ -102,6 +105,11 @@ class ActionEngine:
         self.tracker = LedgerTracker()
         self._pending: List[FailureWarning] = []
         self._open: List[_OpenAction] = []
+        # Earliest ``issued_at`` in _pending and earliest ``deadline`` in
+        # _open (inf when empty): an event at ``t`` has work to decide or
+        # expire only when ``t`` exceeds them, so most events skip both scans.
+        self._next_due = _NEVER
+        self._next_expiry = _NEVER
         self._seq = 0
         self._ckpt_marks: Dict[int, int] = {}
         self._killed: set[int] = set()
@@ -119,6 +127,9 @@ class ActionEngine:
     ) -> None:
         """Absorb one chunk of events and the warnings raised over it."""
         self._pending.extend(warnings)
+        for w in warnings:
+            if w.issued_at < self._next_due:
+                self._next_due = w.issued_at
         times = store.times
         jobs = store.jobs
         loc_ids = store.location_ids
@@ -126,8 +137,10 @@ class ActionEngine:
         fatal = store.fatal_mask()
         for i in range(len(times)):
             t = int(times[i])
-            self._decide_before(t)
-            self._expire_before(t)
+            if t > self._next_due:
+                self._decide_before(t)
+            if t > self._next_expiry:
+                self._expire_before(t)
             location = loc_table[int(loc_ids[i])]
             self.view.observe(t, location, int(jobs[i]))
             if fatal[i]:
@@ -155,6 +168,9 @@ class ActionEngine:
             if not due:
                 return
             self._pending = [w for w in self._pending if w.issued_at >= t]
+        self._next_due = min(
+            (w.issued_at for w in self._pending), default=_NEVER
+        )
         due.sort(key=_warning_order)
         for warning in due:
             self._decide(warning)
@@ -185,6 +201,8 @@ class ActionEngine:
         for action in self.policy.decide(ctx):
             self.ledger.record_taken(action)
             self._open.append(_OpenAction(action, self._seq))
+            if action.deadline < self._next_expiry:
+                self._next_expiry = action.deadline
             self._seq += 1
             if action.kind == "checkpoint":
                 mark = self._ckpt_marks.get(action.job_id, 0)
@@ -240,9 +258,15 @@ class ActionEngine:
             if not expired:
                 return
             self._open = [o for o in self._open if o.action.deadline >= t]
+        self._reset_next_expiry()
         expired.sort(key=lambda o: (o.action.deadline, o.seq))
         for o in expired:
             self._settle(o, "false_alarm", o.action.deadline)
+
+    def _reset_next_expiry(self) -> None:
+        self._next_expiry = min(
+            (o.action.deadline for o in self._open), default=_NEVER
+        )
 
     def _on_fatal(self, t: int, location: str) -> None:
         mp = self.view.midplane_index(location)
@@ -268,6 +292,7 @@ class ActionEngine:
             else:
                 rest.append(o)
         self._open = rest
+        self._reset_next_expiry()
         scoped.sort(key=lambda o: o.seq)
         winner = self._claim_winner(scoped, job.start, t)
         for o in scoped:

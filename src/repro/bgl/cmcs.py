@@ -12,6 +12,23 @@ compression threshold.
 :class:`CmcsSimulator` turns a stream of ground-truth *unique* events into
 that redundant raw record stream.  Phase 1's compressors must recover the
 unique stream from it — which is tested as a round-trip property.
+
+Expansion is a bulk column build.  Per ground-truth event the simulator
+draws, in this order: the ENTRY_DATA template, the detecting location, the
+co-reporter count and ``choice``, then per reporting location its repeat
+count (a Poisson draw) followed by that location's jitters.  The first four
+and the Poisson draw stay scalar calls: Poisson consumes a variable number
+of uniforms, so batching it (or the per-event draws interleaved with it)
+would change the stream and every generated log.  Each location's jitters
+are drawn with one call into a preallocated float64 buffer that grows by
+doubling, one slot per record (the detecting element's first record keeps
+slot 0, no jitter).  The seven columns are then built with ``np.repeat``
+from per-event and per-location arrays, with no per-record Python work.
+The random stream, and so every generated store, is byte-for-byte the one
+the record-at-a-time loop produced (pinned by golden fingerprints and by
+an oracle test against a frozen copy of that loop).  Partition chip and
+node-card lists come from :class:`~repro.bgl.jobs.JobTrace`'s per-partition
+memo; they are shared, and only read here.
 """
 
 from __future__ import annotations
@@ -96,8 +113,8 @@ class DuplicationModel:
 
     def sample_repeats(self, rng: np.random.Generator) -> int:
         """Temporal re-reports at one location (>= 1)."""
-        n = 1 + rng.poisson(self.mean_repeats - 1.0)
-        return int(min(n, self.max_repeats))
+        n = 1 + int(rng.poisson(self.mean_repeats - 1.0))
+        return min(n, self.max_repeats)
 
 
 class CmcsSimulator:
@@ -180,7 +197,7 @@ class CmcsSimulator:
             if k <= 1:
                 return [primary]
             picks = self.rng.choice(len(chips), size=k, replace=False)
-            locs = {chips[int(i)] for i in picks}
+            locs = {chips[i] for i in picks.tolist()}
             locs.add(primary)
             return sorted(locs)
         if sc.location_kind is LocationKind.IO_NODE:
@@ -192,7 +209,7 @@ class CmcsSimulator:
             if k <= 1:
                 return [primary]
             picks = self.rng.choice(len(pool), size=k, replace=False)
-            locs = {pool[int(i)] for i in picks}
+            locs = {pool[i] for i in picks.tolist()}
             locs.add(primary)
             return sorted(locs)
         return [primary]
@@ -205,51 +222,73 @@ class CmcsSimulator:
         Every ground-truth event yields >= 1 records; all of an event's
         duplicates share its ENTRY_DATA and JOB_ID and fall within
         ``jitter_span`` seconds of the event time.
+
+        The random stream is consumed in the order of the record-at-a-time
+        reference (see the module docstring), so the output is bit-identical
+        to it; only each location's jitters are drawn with one call.
         """
         rng = self.rng
         dup = self.duplication
-        times: list[int] = []
-        sev: list[int] = []
-        fac: list[int] = []
-        jobs: list[int] = []
+        n_events = len(ground_truth)
+        ev_time = np.empty(n_events, dtype=np.int64)
+        ev_sev = np.empty(n_events, dtype=np.int8)
+        ev_fac = np.empty(n_events, dtype=np.int8)
+        ev_job = np.empty(n_events, dtype=np.int64)
+        ev_entry = np.empty(n_events, dtype=np.int32)
+        ev_records = np.empty(n_events, dtype=np.int64)
+        loc_intern = self._loc_intern
         loc_ids: list[int] = []
-        entry_ids: list[int] = []
-        for gt in ground_truth:
+        loc_repeats: list[int] = []
+        # One jitter draw per record, in record order.
+        capacity = max(1024, 8 * n_events)
+        draws = np.empty(capacity, dtype=np.float64)
+        pos = 0
+        for i, gt in enumerate(ground_truth):
             sc = self.resolver(gt.subcategory)
             template = sc.templates[int(rng.integers(len(sc.templates)))]
-            entry_id = self._intern_entry(template)
+            ev_entry[i] = self._intern_entry(template)
             primary = gt.location or self._pick_location(sc, gt.job_id)
             locations = self._co_reporting_locations(sc, gt.job_id, primary)
             # The detecting element reports first (and therefore survives
             # compression as the representative); co-reporters follow.
             if locations[0] != primary:
                 locations = [primary] + [l for l in locations if l != primary]
-            sev_val = int(sc.severity)
-            fac_val = int(sc.facility)
-            first = True
+            ev_time[i] = gt.time
+            ev_sev[i] = int(sc.severity)
+            ev_fac[i] = int(sc.facility)
+            ev_job[i] = gt.job_id
+            start = pos
             for loc in locations:
-                loc_id = self._intern_loc(loc)
+                loc_id = loc_intern.get(loc)
+                loc_ids.append(loc_id if loc_id is not None else self._intern_loc(loc))
                 repeats = dup.sample_repeats(rng)
-                for _ in range(repeats):
-                    # The detecting element reports first, at the true event
-                    # time; all other duplicates trail it within jitter_span.
-                    jitter = 0 if first else int(rng.random() * dup.jitter_span)
-                    first = False
-                    times.append(gt.time + jitter)
-                    sev.append(sev_val)
-                    fac.append(fac_val)
-                    jobs.append(gt.job_id)
-                    loc_ids.append(loc_id)
-                    entry_ids.append(entry_id)
-        n = len(times)
+                loc_repeats.append(repeats)
+                end = pos + repeats
+                if end > capacity:
+                    capacity = max(2 * capacity, end)
+                    grown = np.empty(capacity, dtype=np.float64)
+                    grown[:pos] = draws[:pos]
+                    draws = grown
+                if pos == start:
+                    # The detecting element reports first, at the true
+                    # event time; all other duplicates trail it.
+                    draws[pos] = 0.0
+                    pos += 1
+                if end - pos == 1:
+                    draws[pos] = rng.random()  # cheaper than a 1-slot out=
+                elif end > pos:
+                    rng.random(out=draws[pos:end])
+                pos = end
+            ev_records[i] = pos - start
+        jitter = (draws[:pos] * dup.jitter_span).astype(np.int64)
         return EventStore.from_columns(
-            np.asarray(times, dtype=np.int64),
-            np.asarray(sev, dtype=np.int8),
-            np.asarray(fac, dtype=np.int8),
-            np.asarray(jobs, dtype=np.int64),
-            np.asarray(loc_ids, dtype=np.int32),
-            np.asarray(entry_ids, dtype=np.int32),
-            np.full(n, -1, dtype=np.int32),
+            np.repeat(ev_time, ev_records) + jitter,
+            np.repeat(ev_sev, ev_records),
+            np.repeat(ev_fac, ev_records),
+            np.repeat(ev_job, ev_records),
+            np.repeat(np.asarray(loc_ids, dtype=np.int32), loc_repeats),
+            np.repeat(ev_entry, ev_records),
+            np.full(pos, -1, dtype=np.int32),
             list(self._loc_table),
             list(self._entry_table),
             [],

@@ -10,8 +10,16 @@ durations are log-normal (heavy-tailed, as observed on production systems).
 
 - ``job_at(midplane_index, time)`` — which job (if any) occupied a midplane
   at a given instant;
-- ``partition_nodecards(job)`` — the node cards a job spans, from which
-  co-reporting chips are drawn.
+- ``partition_nodecards(job)`` / ``partition_chips(job)`` — the node cards
+  and compute chips a job spans, from which co-reporting chips are drawn.
+
+Both partition lookups are pure topology: they depend only on the job's
+midplane set, and there are at most ``n_midplanes + 1`` distinct sets (one
+per midplane plus the full machine).  The CMCS simulator asks for them once
+per ground-truth event, so they are memoized per partition key
+(``Job.midplane_indices``) and return the *same* list object on every call.
+Callers must treat the returned lists as read-only; mutating one would
+corrupt every later lookup for that partition.
 """
 
 from __future__ import annotations
@@ -75,6 +83,9 @@ class JobTrace:
                 self._starts[m].append(job.start)
                 self._ends[m].append(job.end)
                 self._ids[m].append(job.job_id)
+        # Partition lookups, memoized per midplane set (read-only lists).
+        self._cards_by_partition: dict[tuple[int, ...], list[str]] = {}
+        self._chips_by_partition: dict[tuple[int, ...], list[str]] = {}
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -100,19 +111,34 @@ class JobTrace:
         return IDLE
 
     def partition_nodecards(self, job_id: int) -> list[str]:
-        """Node-card locations spanned by a job's partition."""
-        job = self._by_id[job_id]
-        cards: list[str] = []
-        for m in job.midplane_indices:
-            mloc = self.machine.midplane_locations[m]
-            cards.extend(self.machine.nodecards_of_midplane(mloc))
+        """Node-card locations spanned by a job's partition.
+
+        Memoized per partition: the returned list is shared and must not
+        be mutated.
+        """
+        key = self._by_id[job_id].midplane_indices
+        cards = self._cards_by_partition.get(key)
+        if cards is None:
+            cards = []
+            for m in key:
+                mloc = self.machine.midplane_locations[m]
+                cards.extend(self.machine.nodecards_of_midplane(mloc))
+            self._cards_by_partition[key] = cards
         return cards
 
     def partition_chips(self, job_id: int) -> list[str]:
-        """Compute-chip locations spanned by a job's partition."""
-        chips: list[str] = []
-        for card in self.partition_nodecards(job_id):
-            chips.extend(self.machine.chips_of_nodecard(card))
+        """Compute-chip locations spanned by a job's partition.
+
+        Memoized per partition: the returned list is shared and must not
+        be mutated.
+        """
+        key = self._by_id[job_id].midplane_indices
+        chips = self._chips_by_partition.get(key)
+        if chips is None:
+            chips = []
+            for card in self.partition_nodecards(job_id):
+                chips.extend(self.machine.chips_of_nodecard(card))
+            self._chips_by_partition[key] = chips
         return chips
 
     def utilization(self, t0: float, t1: float) -> float:

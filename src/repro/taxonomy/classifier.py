@@ -120,16 +120,22 @@ class TaxonomyClassifier:
         return cat
 
     def category_of_label(self, label: str) -> MainCategory:
-        """Main category of a label name (fallback label -> OTHER)."""
-        if label == OTHER_FALLBACK:
-            return MainCategory.OTHER
-        return self._by_name[label].category
+        """Main category of a label name.
+
+        The fallback label, and any label the taxonomy does not know (the
+        wire protocol accepts any ``subcategory`` string), is OTHER.
+        """
+        sc = self._by_name.get(label)
+        return sc.category if sc is not None else MainCategory.OTHER
 
     def label_is_fatal(self, label: str) -> bool:
-        """True if a label names a fatal subcategory (fallback is non-fatal)."""
-        if label == OTHER_FALLBACK:
-            return False
-        return self._by_name[label].is_fatal
+        """True if a label names a fatal subcategory.
+
+        The fallback label and unknown labels are non-fatal, as serving
+        treats them (see ``repro.mining.rules.rule_item_ids``).
+        """
+        sc = self._by_name.get(label)
+        return sc is not None and sc.is_fatal
 
     # -- bulk, columnar ----------------------------------------------------#
 

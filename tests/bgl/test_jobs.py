@@ -60,11 +60,14 @@ def test_trace_rejects_bad_midplane(machine):
 
 
 def test_partition_chips(machine):
-    trace = JobTrace(machine, [Job(1, 0, 100, (0,))])
+    trace = JobTrace(machine, [Job(1, 0, 100, (0,)), Job(2, 100, 200, (0,))])
     chips = trace.partition_chips(1)
-    assert len(chips) == 512  # one midplane = 16 cards x 32 chips
+    assert len(chips) == len(set(chips)) == 512  # 16 cards x 32 chips
     cards = trace.partition_nodecards(1)
     assert len(cards) == 16
+    # Memoized per partition: the same midplane set shares one list.
+    assert trace.partition_chips(2) is chips
+    assert trace.partition_nodecards(2) is cards
 
 
 def test_utilization(machine):

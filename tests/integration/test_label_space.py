@@ -29,6 +29,8 @@ from repro.ras.store import UNCLASSIFIED, EventStore
 from repro.serve import DetectorPool
 from repro.synth.generator import LogGenerator
 from repro.synth.profiles import anl_profile, sdsc_profile
+from repro.taxonomy.categories import MainCategory
+from repro.taxonomy.classifier import TaxonomyClassifier
 from repro.util.timeutil import MINUTE
 
 PROFILES = {"anl": anl_profile, "sdsc": sdsc_profile}
@@ -155,3 +157,39 @@ def test_predict_rejects_unclassified_rows(split):
         meta.rulebased.predict(half)
     with pytest.raises(ValueError, match="unclassified"):
         OnlineSession(meta).process_store(half)
+
+
+def _with_unknown_label(store: EventStore, every: int = 50) -> EventStore:
+    """``store`` with every ``every``-th row relabelled to a label the
+    taxonomy does not know (the wire protocol keeps any string)."""
+    table = list(store.subcat_table) + ["bogusLabel"]
+    ids = np.array(store.subcat_ids, copy=True)
+    ids[::every] = len(table) - 1
+    return store.with_subcat_ids(ids, table)
+
+
+def test_fit_treats_unknown_labels_as_catch_all(split):
+    train, test, _, _ = split
+    clf = TaxonomyClassifier()
+    assert not clf.label_is_fatal("bogusLabel")
+    assert clf.category_of_label("bogusLabel") is MainCategory.OTHER
+    assert _meta(_with_unknown_label(train)).predict(test), "no warnings (vacuous test)"
+
+
+def test_count_retrain_over_unknown_labels(split, tmp_path):
+    """A lifecycle retrain window holding unknown labels refits, not raises."""
+    train, test, _, _ = split
+    spec = PredictorSpec.of(
+        "meta", prediction_window=30 * MINUTE, rule_window=15 * MINUTE
+    )
+    chunk = 64
+    manager = LifecycleManager(
+        DetectorPool(_meta(train), shards=2),
+        DriftMonitor(test.select(slice(0, chunk)), window=chunk),
+        RetrainPolicy(every_events=4 * chunk, cooldown_events=0),
+        Retrainer(spec, ModelRegistry(tmp_path), window_events=len(train), seed=11),
+    )
+    manager.retrainer.extend(_with_unknown_label(train))
+    for lo in range(0, len(test), chunk):
+        manager.feed(_with_unknown_label(test.select(slice(lo, lo + chunk)), 7))
+    assert manager.policy.retrains >= 1, "no retrain happened (vacuous test)"
